@@ -18,7 +18,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use emlio_cache::{CacheConfig, CachedRangeReader, CachedSource, ShardCache};
-use emlio_core::wire::{self, encode_batch, encode_batch_frame, encode_batch_frame_traced};
+use emlio_core::wire::{self, encode_batch, encode_batch_frame};
 use emlio_core::BufferPool;
 use emlio_datagen::convert::build_tfrecord_dataset;
 use emlio_datagen::DatasetSpec;
@@ -102,7 +102,7 @@ fn bench_serve(c: &mut Criterion) {
                     .zip(&owned)
                     .map(|(m, p)| (m.sample_id, m.label, p.as_slice()))
                     .collect();
-                let frame = Bytes::from(encode_batch(1, key.start as u64, ORIGIN, &samples));
+                let frame = Bytes::from(encode_batch(1, key.start as u64, ORIGIN, None, &samples));
                 total += frame.len();
             }
             black_box(total)
@@ -120,7 +120,8 @@ fn bench_serve(c: &mut Criterion) {
                     .zip(&read.payloads)
                     .map(|(m, p)| (m.sample_id, m.label, p.clone()))
                     .collect();
-                let frame = encode_batch_frame(1, key.start as u64, ORIGIN, &samples, &rig.pool);
+                let frame =
+                    encode_batch_frame(1, key.start as u64, ORIGIN, None, &samples, &rig.pool);
                 total += frame.len();
             }
             black_box(total)
@@ -149,7 +150,7 @@ fn bench_serve(c: &mut Criterion) {
                     seq,
                     sent_at_nanos: clock::now_nanos(),
                 };
-                let frame = encode_batch_frame_traced(
+                let frame = encode_batch_frame(
                     1,
                     key.start as u64,
                     ORIGIN,
@@ -183,7 +184,7 @@ fn bench_decode(c: &mut Criterion) {
                 .zip(&read.payloads)
                 .map(|(m, p)| (m.sample_id, m.label, p.clone()))
                 .collect();
-            encode_batch_frame(1, key.start as u64, ORIGIN, &samples, &rig.pool).into_bytes()
+            encode_batch_frame(1, key.start as u64, ORIGIN, None, &samples, &rig.pool).into_bytes()
         })
         .collect();
     let wire_bytes: u64 = frames.iter().map(|f| f.len() as u64).sum();

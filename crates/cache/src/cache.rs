@@ -3,14 +3,15 @@
 //! Concurrency layout (the result of retiring the original single big
 //! mutex):
 //!
-//! * **N lock shards**, keyed by block-key hash, each guarding a slice of
-//!   the residency map (`BlockKey → Slot`). The slot is a small state
-//!   machine — `Ram`, `Spilling` (eviction in progress, bytes still
-//!   readable), `Disk`, `Busy` (storage fetch or disk promote in flight) —
-//!   which is what lets spill and promote **file I/O run outside every
-//!   lock**: the thread doing I/O owns the transitional state, and
-//!   concurrent readers either hit the still-resident bytes or wait on the
-//!   shard's condvar exactly as they would for a single-flight fetch.
+//! * **`LOCK_SHARDS` (8) lock shards**, keyed by block-key hash, each
+//!   guarding a slice of the residency map (`BlockKey → Slot`). The slot
+//!   is a small state machine — `Ram`, `Spilling` (eviction in progress,
+//!   bytes still readable), `Disk`, `Busy` (storage fetch or disk promote
+//!   in flight) — which is what lets spill and promote **file I/O run
+//!   outside every lock**: the thread doing I/O owns the transitional
+//!   state, and concurrent readers either hit the still-resident bytes or
+//!   wait on the shard's condvar exactly as they would for a single-flight
+//!   fetch.
 //! * **One ordering lock** (`Global`) holding the byte accounting, the plan
 //!   cursor, and incrementally-maintained eviction orders (intrusive LRU
 //!   list for LRU/FIFO, lazy next-use max-heap for clairvoyant — see
@@ -54,10 +55,9 @@
 //! * **`Spilling` is readable.** Eviction flips `Ram → Spilling` *before*
 //!   the spill-file write so concurrent readers keep hitting the bytes
 //!   during the I/O; only after the write lands does the slot become
-//!   `Disk` (dropping the RAM bytes). With a spill queue configured
-//!   (the default), the write itself happens on the dedicated
-//!   `emlio-cache-spill` writer thread: the evictor enqueues the
-//!   `(key, bytes)` order and returns immediately, so the `Spilling`
+//!   `Disk` (dropping the RAM bytes). The write itself happens on the
+//!   dedicated `emlio-cache-spill` writer thread: the evictor enqueues
+//!   the `(key, bytes)` order and returns immediately, so the `Spilling`
 //!   state is also the asynchronous hand-off — the evicting send worker
 //!   never touches disk, and shutdown drains the queue before the final
 //!   index write (see [`crate::spill`]).
@@ -70,7 +70,7 @@
 use crate::order::TierOrder;
 use crate::persist::{self, SpillEntry};
 use crate::policy::EvictPolicy;
-use crate::spill::{Push, SpillBackpressure, SpillOrder, SpillQueue};
+use crate::spill::{Push, SpillOrder, SpillQueue};
 use crate::stats::CacheStats;
 use bytes::Bytes;
 use emlio_obs::{obs_warn, Stage, StageRecorder};
@@ -84,6 +84,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+/// Lock shards over the residency map. More shards ⇒ less contention
+/// between reader threads.
+const LOCK_SHARDS: usize = 8;
+
+/// Capacity, in orders, of the bounded queue feeding the background
+/// `emlio-cache-spill` writer thread. A full queue parks the evictor until
+/// the writer frees a slot, so no evicted block is ever lost to
+/// backpressure.
+const SPILL_QUEUE_ORDERS: usize = 64;
 
 /// Cache sizing and behaviour knobs.
 #[derive(Debug, Clone)]
@@ -100,9 +110,6 @@ pub struct CacheConfig {
     /// How many planned blocks the prefetcher may run ahead of the demand
     /// cursor (0 disables prefetching).
     pub prefetch_depth: usize,
-    /// Number of lock shards over the residency map (rounded up to at
-    /// least 1). More shards ⇒ less contention between reader threads.
-    pub lock_shards: usize,
     /// Keep the disk spill tier across restarts: maintain a CRC'd spill
     /// index in `spill_dir` and re-admit valid blocks on construction.
     /// Set via [`CacheConfig::with_persist_dir`]; requires a disk tier.
@@ -111,18 +118,6 @@ pub struct CacheConfig {
     /// admitting a block whose next use is no sooner than every resident's
     /// (it would be the immediate eviction victim anyway).
     pub belady_bypass: bool,
-    /// Capacity of the bounded spill-order queue feeding the background
-    /// `emlio-cache-spill` writer thread. 0 disables the writer: spills
-    /// run synchronously on the evicting thread. Only meaningful with a
-    /// disk tier.
-    pub spill_queue: usize,
-    /// What evictors do when the spill queue is full.
-    pub spill_backpressure: SpillBackpressure,
-    /// How many `prefetch_depth`-sized windows beyond the one holding the
-    /// demand cursor the prefetcher may stage ahead (double-buffering:
-    /// with 1, window N+1 fills while window N serves). 0 restores the
-    /// legacy continuous sliding window of `prefetch_depth` blocks.
-    pub prefetch_staging: usize,
     /// Warm-start budget in bytes: on plan install, promote up to this
     /// many bytes of re-admitted disk blocks — earliest-needed first —
     /// into the RAM tier ahead of demand. 0 disables warm-start.
@@ -137,12 +132,8 @@ impl Default for CacheConfig {
             spill_dir: None,
             policy: EvictPolicy::Lru,
             prefetch_depth: 8,
-            lock_shards: 8,
             persist: false,
             belady_bypass: true,
-            spill_queue: 64,
-            spill_backpressure: SpillBackpressure::Block,
-            prefetch_staging: 1,
             warm_start_bytes: 0,
         }
     }
@@ -189,34 +180,9 @@ impl CacheConfig {
         self
     }
 
-    /// Override the lock-shard count.
-    pub fn with_lock_shards(mut self, n: usize) -> Self {
-        self.lock_shards = n;
-        self
-    }
-
     /// Enable/disable the Belady admission bypass (clairvoyant only).
     pub fn with_belady_bypass(mut self, on: bool) -> Self {
         self.belady_bypass = on;
-        self
-    }
-
-    /// Override the spill queue capacity (0 = synchronous spills).
-    pub fn with_spill_queue(mut self, orders: usize) -> Self {
-        self.spill_queue = orders;
-        self
-    }
-
-    /// Override the full-queue backpressure policy.
-    pub fn with_spill_backpressure(mut self, policy: SpillBackpressure) -> Self {
-        self.spill_backpressure = policy;
-        self
-    }
-
-    /// Override the prefetch staging depth in windows (0 = legacy
-    /// continuous sliding window, 1 = double-buffered).
-    pub fn with_prefetch_staging(mut self, windows: usize) -> Self {
-        self.prefetch_staging = windows;
         self
     }
 
@@ -359,8 +325,8 @@ struct CacheCore {
     stats: CacheStats,
     spill_dir: Option<PathBuf>,
     owns_spill_dir: bool,
-    /// Bounded order queue feeding the spill writer thread; `None` spills
-    /// synchronously on the evicting thread.
+    /// Bounded order queue feeding the spill writer thread; `None` exactly
+    /// when there is no disk tier.
     spill_queue: Option<SpillQueue>,
     /// Stage recorder for `SpillWrite`/`WarmPromote` timings (set once by
     /// the daemon after construction).
@@ -412,15 +378,15 @@ impl CacheCore {
         if let Some(dir) = &spill_dir {
             std::fs::create_dir_all(dir)?;
         }
-        let n = config.lock_shards.max(1);
-        let shards: Vec<LockShard> = (0..n)
+        let shards: Vec<LockShard> = (0..LOCK_SHARDS)
             .map(|_| LockShard {
                 map: Mutex::new(HashMap::new()),
                 cv: Condvar::new(),
             })
             .collect();
-        let spill_queue = (spill_dir.is_some() && config.spill_queue > 0)
-            .then(|| SpillQueue::new(config.spill_queue));
+        let spill_queue = spill_dir
+            .is_some()
+            .then(|| SpillQueue::new(SPILL_QUEUE_ORDERS));
         let cache = CacheCore {
             global: Mutex::new(Global {
                 ram_used: 0,
@@ -987,9 +953,9 @@ impl CacheCore {
 
     /// Move an evicted RAM block to the disk tier (or drop it): flip its
     /// slot to `Spilling`, then hand the file write to the spill-writer
-    /// thread (or, without a queue, perform it inline). The block stays
-    /// readable in `Spilling` until the write lands and the slot becomes
-    /// `Disk`. Called with no lock held.
+    /// thread, blocking while its queue is full. The block stays readable
+    /// in `Spilling` until the write lands and the slot becomes `Disk`.
+    /// Called with no lock held.
     fn spill_or_drop(&self, key: &BlockKey, size: u64) {
         let spillable = self.spill_dir.is_some() && size <= self.config.disk_bytes;
         let data = {
@@ -1018,10 +984,11 @@ impl CacheCore {
             data,
             size,
         };
-        let Some(queue) = &self.spill_queue else {
-            return self.finish_spill(order, SpillVia::Inline);
-        };
-        let (push, waits, depth) = queue.push(order, self.config.spill_backpressure);
+        let queue = self
+            .spill_queue
+            .as_ref()
+            .expect("a disk tier implies a spill queue");
+        let (push, waits, depth) = queue.push(order);
         if waits > 0 {
             self.stats
                 .spill_backpressure_waits
@@ -1032,22 +999,15 @@ impl CacheCore {
                 .spill_queue_peak
                 .fetch_max(depth, Ordering::Relaxed);
         }
-        match push {
-            Push::Enqueued => {}
-            Push::Dropped(order) => {
-                // Full queue under the drop policy: the block degrades to
-                // absent; demand re-reads it from storage.
-                self.stats.spill_dropped.fetch_add(1, Ordering::Relaxed);
-                self.abort_spill(&order.key);
-            }
-            // Shutdown already started: no writer left to hand off to.
-            Push::Bypass(order) => self.finish_spill(order, SpillVia::Inline),
+        // Shutdown already started: no writer left to hand off to.
+        if let Push::Bypass(order) = push {
+            self.finish_spill(order, SpillVia::Inline);
         }
     }
 
     /// Perform a spill order: reserve disk capacity, write the file, and
-    /// land the `Spilling → Disk` transition. Runs on the writer thread
-    /// (async mode) or the evicting thread (sync mode / shutdown bypass);
+    /// land the `Spilling → Disk` transition. Runs on the writer thread,
+    /// or on the evicting thread when the queue has already shut down;
     /// never holds a lock across the file I/O. The writer never spills
     /// recursively — disk-tier overflow only *drops* disk victims.
     fn finish_spill(&self, order: SpillOrder, via: SpillVia) {
@@ -1129,8 +1089,8 @@ impl CacheCore {
         self.validate_disk_residency(&key);
     }
 
-    /// Drop `key`'s `Spilling` slot to absent (failed or dropped spill)
-    /// and wake waiters.
+    /// Drop `key`'s `Spilling` slot to absent (failed spill) and wake
+    /// waiters.
     fn abort_spill(&self, key: &BlockKey) {
         let shard = self.shard_for(key);
         let mut map = shard.map.lock();
@@ -1141,7 +1101,7 @@ impl CacheCore {
     }
 
     /// Block until every queued spill order has been fully written (no-op
-    /// without a spill queue).
+    /// without a disk tier).
     fn flush_spills(&self) {
         if let Some(queue) = &self.spill_queue {
             queue.flush();
@@ -1281,24 +1241,15 @@ impl CacheCore {
     }
 
     /// How many plan positions starting at `pos` the prefetcher may warm
-    /// right now, capped at `max_run`. With `prefetch_staging == 0` the
-    /// open region is a continuous slide (`cursor + depth`); with
-    /// `staging >= 1` the plan is tiled into `depth`-sized windows and the
-    /// prefetcher may fill up to `staging` whole windows beyond the one
-    /// holding the demand cursor — the double-buffer: while send workers
-    /// consume window N, window N+1 stages into RAM, and the limit flips
-    /// forward when the cursor crosses a window boundary. Returns 0 after
-    /// a bounded wait with the window still closed (the caller re-checks
-    /// its stop flag and retries).
+    /// right now, capped at `max_run`. The plan is tiled into
+    /// `depth`-sized windows and the prefetcher may fill the window after
+    /// the one holding the demand cursor — the double-buffer: while send
+    /// workers consume window N, window N+1 stages into RAM, and the limit
+    /// flips forward when the cursor crosses a window boundary. Returns 0
+    /// after a bounded wait with the window still closed (the caller
+    /// re-checks its stop flag and retries).
     fn prefetch_open_run(&self, pos: u64, depth: u64, max_run: u64) -> u64 {
-        let staging = self.config.prefetch_staging as u64;
-        let limit = |cursor: u64| {
-            if staging == 0 {
-                cursor + depth
-            } else {
-                (cursor / depth + 1 + staging) * depth
-            }
-        };
+        let limit = |cursor: u64| (cursor / depth + 2) * depth;
         let mut g = self.global.lock();
         let mut open = limit(g.cursor);
         if pos >= open {
@@ -1454,16 +1405,15 @@ impl Drop for CacheCore {
 /// The plan-aware two-tier block cache. Shared across daemon send workers
 /// and the prefetcher via `Arc`; all methods take `&self`.
 ///
-/// With a disk tier and a positive [`CacheConfig::spill_queue`], a
-/// dedicated `emlio-cache-spill` writer thread owns every spill-file
-/// write: evictors flip the slot to `Spilling` and enqueue, keeping disk
-/// I/O off the serve path. Dropping the handle shuts the queue down,
+/// With a disk tier, a dedicated `emlio-cache-spill` writer thread owns
+/// every spill-file write: evictors flip the slot to `Spilling` and
+/// enqueue, keeping disk I/O off the serve path. Dropping the handle shuts the queue down,
 /// drains it (every queued order still lands on disk), joins the writer,
 /// and only then runs the core's final persistence — so a persistent
 /// cache's spill index is always complete.
 pub struct ShardCache {
     core: Arc<CacheCore>,
-    /// The spill writer thread; `None` in synchronous-spill mode.
+    /// The spill writer thread; `None` without a disk tier.
     writer: Option<JoinHandle<()>>,
 }
 
@@ -1471,8 +1421,8 @@ impl ShardCache {
     /// Create a cache. Creates the spill directory when a disk tier is
     /// configured; when the directory is persistent and holds a spill
     /// index from a previous run, CRC-valid blocks are re-admitted into
-    /// the disk tier. Spawns the spill writer thread when a disk tier and
-    /// a spill queue are both configured.
+    /// the disk tier. Spawns the spill writer thread when a disk tier is
+    /// configured.
     pub fn new(config: CacheConfig) -> io::Result<ShardCache> {
         let core = Arc::new(CacheCore::new(config)?);
         let writer = if core.spill_queue.is_some() {
@@ -1655,25 +1605,16 @@ impl ShardCache {
     }
 
     /// Block until every queued spill order has been fully written (the
-    /// `Spilling → Disk` transitions landed). A no-op in synchronous
-    /// mode. Tests and checkpoints use this to observe a settled tier.
+    /// `Spilling → Disk` transitions landed). A no-op without a disk
+    /// tier. Tests and checkpoints use this to observe a settled tier.
     pub fn flush_spills(&self) {
         self.core.flush_spills();
     }
 
     /// Spill orders queued or in flight right now (gauge; 0 without a
-    /// spill queue).
+    /// disk tier).
     pub fn spill_queue_depth(&self) -> u64 {
         self.core.spill_queue.as_ref().map_or(0, |q| q.depth())
-    }
-
-    /// Evictors blocked on a full spill queue right now (gauge; 0 without
-    /// an async spill queue or under the drop policy).
-    pub fn spill_blocked_pushers(&self) -> u64 {
-        self.core
-            .spill_queue
-            .as_ref()
-            .map_or(0, |q| q.blocked_pushers())
     }
 }
 
@@ -2033,28 +1974,11 @@ mod tests {
     }
 
     #[test]
-    fn single_lock_shard_still_works() {
-        let cache = ShardCache::new(
-            CacheConfig::default()
-                .with_ram_bytes(300)
-                .with_lock_shards(1)
-                .with_policy(EvictPolicy::Lru),
-        )
-        .unwrap();
-        for i in 0..5 {
-            cache.insert(key(i), block(i, 100));
-        }
-        assert_eq!(cache.ram_bytes_used(), 300);
-        assert_eq!(cache.ram_keys().len(), 3);
-    }
-
-    #[test]
     fn staged_window_tiles_and_flips_on_cursor_crossing() {
         let cache = ShardCache::new(
             CacheConfig::default()
                 .with_ram_bytes(1 << 20)
-                .with_prefetch_depth(4)
-                .with_prefetch_staging(1),
+                .with_prefetch_depth(4),
         )
         .unwrap();
         let seq: Vec<BlockKey> = (0..24).map(key).collect();
@@ -2073,40 +1997,6 @@ mod tests {
         cache.insert(key(3), block(0, 8));
         cache.get(&key(3)).unwrap();
         assert_eq!(cache.prefetch_open_run(8, 4, 64), 4);
-    }
-
-    #[test]
-    fn legacy_continuous_window_with_staging_zero() {
-        let cache = ShardCache::new(
-            CacheConfig::default()
-                .with_ram_bytes(1 << 20)
-                .with_prefetch_depth(4)
-                .with_prefetch_staging(0),
-        )
-        .unwrap();
-        cache.set_plan((0..16).map(key).collect());
-        assert_eq!(cache.prefetch_open_run(0, 4, 64), 4);
-        assert_eq!(cache.prefetch_open_run(4, 4, 64), 0);
-    }
-
-    #[test]
-    fn sync_mode_spills_inline() {
-        let cache = ShardCache::new(
-            CacheConfig::default()
-                .with_ram_bytes(200)
-                .with_disk_bytes(1000)
-                .with_spill_queue(0)
-                .with_policy(EvictPolicy::Lru),
-        )
-        .unwrap();
-        for i in 0..3 {
-            cache.insert(key(i), block(i, 100));
-        }
-        let s = cache.stats().snapshot();
-        assert_eq!(s.spills, 1);
-        assert_eq!(s.spill_inline_writes, 1, "no writer thread in sync mode");
-        assert_eq!(s.spill_async_writes, 0);
-        assert_eq!(cache.spill_queue_depth(), 0);
     }
 
     #[test]

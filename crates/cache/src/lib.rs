@@ -8,7 +8,7 @@
 //!
 //! * [`ShardCache`] — a two-tier cache: a bounded RAM tier plus an optional
 //!   bounded local-disk spill tier, keyed by [`BlockKey`] (shard id +
-//!   record range). The hot path is sharded: N lock shards over the
+//!   record range). The hot path is sharded: 8 lock shards over the
 //!   residency map, incrementally-maintained eviction orders (intrusive
 //!   LRU list / next-use heap, see [`order`]), and spill/promote file I/O
 //!   that runs outside every lock. Lookups are single-flight: concurrent
@@ -66,5 +66,4 @@ pub use policy::EvictPolicy;
 pub use prefetch::Prefetcher;
 pub use reader::{CachedRangeReader, RangeRead};
 pub use source::CachedSource;
-pub use spill::SpillBackpressure;
 pub use stats::{CacheStats, CacheStatsSnapshot};

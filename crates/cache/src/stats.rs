@@ -30,16 +30,12 @@ pub struct CacheStats {
     /// Spill-file writes that failed; the block dropped to absent (demand
     /// will re-fetch it from storage).
     pub spill_failures: AtomicU64,
-    /// Spill orders dropped to absent because the queue was full under the
-    /// drop backpressure policy.
-    pub spill_dropped: AtomicU64,
-    /// Times an evictor blocked on a full spill queue under the blocking
-    /// backpressure policy.
+    /// Times an evictor blocked on a full spill queue.
     pub spill_backpressure_waits: AtomicU64,
     /// High-water mark of the spill queue depth (orders queued at once).
     pub spill_queue_peak: AtomicU64,
-    /// Spill-file writes performed on the evicting thread (synchronous
-    /// mode, or inline fallback during shutdown).
+    /// Spill-file writes performed on the evicting thread (inline
+    /// fallback once shutdown has closed the spill queue).
     pub spill_inline_writes: AtomicU64,
     /// Spill-file writes performed by the background writer thread.
     pub spill_async_writes: AtomicU64,
@@ -61,7 +57,6 @@ impl CacheStats {
             readmitted: self.readmitted.load(Ordering::Relaxed),
             bytes_saved: self.bytes_saved.load(Ordering::Relaxed),
             spill_failures: self.spill_failures.load(Ordering::Relaxed),
-            spill_dropped: self.spill_dropped.load(Ordering::Relaxed),
             spill_backpressure_waits: self.spill_backpressure_waits.load(Ordering::Relaxed),
             spill_queue_peak: self.spill_queue_peak.load(Ordering::Relaxed),
             spill_inline_writes: self.spill_inline_writes.load(Ordering::Relaxed),
@@ -92,9 +87,7 @@ pub struct CacheStatsSnapshot {
     pub bytes_saved: u64,
     /// Spill-file writes that failed (block dropped to absent).
     pub spill_failures: u64,
-    /// Spill orders dropped on a full queue (drop policy).
-    pub spill_dropped: u64,
-    /// Evictor waits on a full spill queue (block policy).
+    /// Evictor waits on a full spill queue.
     pub spill_backpressure_waits: u64,
     /// High-water mark of the spill queue depth.
     pub spill_queue_peak: u64,

@@ -4,8 +4,7 @@
 //! test completing IS the liveness assertion — CI runs it in release
 //! mode), and keep its counters coherent. Capacity is sized well below
 //! the working set so the eviction/spill/promote state machine is
-//! exercised constantly, across all three policies and both 1-shard
-//! (fully serialized) and many-shard layouts.
+//! exercised constantly, across all three policies.
 
 use emlio_cache::{BlockKey, CacheConfig, EvictPolicy, ShardCache};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,7 +31,7 @@ fn next_rand(state: &mut u64) -> u64 {
     *state
 }
 
-fn hammer(policy: EvictPolicy, lock_shards: usize) {
+fn hammer(policy: EvictPolicy) {
     let ram = (40 * BLOCK_BYTES) as u64;
     let disk = (24 * BLOCK_BYTES) as u64;
     let cache = Arc::new(
@@ -41,7 +40,6 @@ fn hammer(policy: EvictPolicy, lock_shards: usize) {
                 .with_ram_bytes(ram)
                 .with_disk_bytes(disk)
                 .with_policy(policy)
-                .with_lock_shards(lock_shards)
                 .with_prefetch_depth(0),
         )
         .unwrap(),
@@ -126,24 +124,17 @@ fn hammer(policy: EvictPolicy, lock_shards: usize) {
 
 #[test]
 fn stress_lru_sharded() {
-    hammer(EvictPolicy::Lru, 8);
+    hammer(EvictPolicy::Lru);
 }
 
 #[test]
 fn stress_fifo_sharded() {
-    hammer(EvictPolicy::Fifo, 8);
+    hammer(EvictPolicy::Fifo);
 }
 
 #[test]
 fn stress_clairvoyant_sharded() {
-    hammer(EvictPolicy::Clairvoyant, 8);
-}
-
-#[test]
-fn stress_single_lock_shard() {
-    // Everything serializes through one shard lock: maximum cross-thread
-    // interleaving on a single slot map.
-    hammer(EvictPolicy::Lru, 1);
+    hammer(EvictPolicy::Clairvoyant);
 }
 
 #[test]

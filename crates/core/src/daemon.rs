@@ -262,7 +262,7 @@ impl EmlioDaemon {
                 // hits re-read the spill file, so they are excluded.
                 m.set_zero_copy_hits(s.hits - s.disk_hits);
                 m.set_cache_spill_failures(s.spill_failures);
-                m.set_cache_spill_backpressure(s.spill_backpressure_waits + s.spill_dropped);
+                m.set_cache_spill_backpressure(s.spill_backpressure_waits);
                 m.set_cache_warm_promoted(s.warm_promoted);
                 m.set_cache_spill_queue_depth(cache.spill_queue_depth());
             });
@@ -594,7 +594,7 @@ impl EmlioDaemon {
             sent_at_nanos: clock::now_nanos(),
         };
         let t_ser = Instant::now();
-        let frame = wire::encode_batch_frame_traced(
+        let frame = wire::encode_batch_frame(
             epoch,
             range.batch_id,
             origin,

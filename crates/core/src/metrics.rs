@@ -68,10 +68,10 @@ pub struct DataPathMetrics {
     /// (demand re-fetches it from storage).
     pub cache_spill_failures: AtomicU64,
     /// Spill orders queued or in flight on the background writer right now
-    /// (gauge, not monotonic; 0 in synchronous-spill mode).
+    /// (gauge, not monotonic; 0 without a disk tier).
     pub cache_spill_queue_depth: AtomicU64,
     /// Backpressure events at the spill queue: evictor blocks on a full
-    /// queue plus orders dropped under the `drop` policy.
+    /// queue.
     pub cache_spill_backpressure: AtomicU64,
     /// Disk blocks promoted into RAM by cache warm-start.
     pub cache_warm_promoted: AtomicU64,
@@ -187,8 +187,8 @@ impl DataPathMetrics {
         self.cache_spill_queue_depth.store(depth, Ordering::Relaxed);
     }
 
-    /// Reconcile the spill backpressure counter (blocked-evictor waits
-    /// plus dropped orders) with the cache's own totals.
+    /// Reconcile the spill backpressure counter (blocked-evictor waits)
+    /// with the cache's own total.
     pub fn set_cache_spill_backpressure(&self, total: u64) {
         self.cache_spill_backpressure
             .store(total, Ordering::Relaxed);
@@ -329,7 +329,7 @@ pub struct MetricsSnapshot {
     pub cache_spill_failures: u64,
     /// Spill orders queued or in flight on the background writer (gauge).
     pub cache_spill_queue_depth: u64,
-    /// Spill-queue backpressure events (blocked waits + dropped orders).
+    /// Spill-queue backpressure events (evictor waits on a full queue).
     pub cache_spill_backpressure: u64,
     /// Disk blocks promoted into RAM by cache warm-start.
     pub cache_warm_promoted: u64,

@@ -332,7 +332,7 @@ mod tests {
         let sock = PushSocket::connect(ep, SocketOptions::default()).unwrap();
         for id in &ids {
             let payload = vec![*id as u8; 16];
-            let frame = wire::encode_batch(0, *id, origin, &[(*id, 0, payload.as_slice())]);
+            let frame = wire::encode_batch(0, *id, origin, None, &[(*id, 0, payload.as_slice())]);
             sock.send(Bytes::from(frame)).unwrap();
         }
         sock.send(Bytes::from(wire::encode_end_stream(
@@ -416,7 +416,7 @@ mod tests {
         let ep = receiver.endpoint().clone();
         let sock = PushSocket::connect(&ep, SocketOptions::default()).unwrap();
         sock.send(Bytes::from_static(b"\xde\xad\xbe\xef")).unwrap();
-        let good = wire::encode_batch(0, 9, "x", &[(9, 1, &[1, 2])]);
+        let good = wire::encode_batch(0, 9, "x", None, &[(9, 1, &[1, 2])]);
         sock.send(Bytes::from(good)).unwrap();
         sock.send(Bytes::from(wire::encode_end_stream("x", 1)))
             .unwrap();

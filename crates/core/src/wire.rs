@@ -81,19 +81,10 @@ impl From<DecodeError> for WireError {
     }
 }
 
-/// Serialize a batch. `origin` identifies the sending worker (diagnostics
-/// and out-of-order accounting).
+/// Serialize a batch into one contiguous buffer. `origin` identifies the
+/// sending worker (diagnostics and out-of-order accounting); a `trace`
+/// stamps a [`BatchTrace`] header in.
 pub fn encode_batch(
-    epoch: u32,
-    batch_id: u64,
-    origin: &str,
-    samples: &[(u64, u32, &[u8])],
-) -> Vec<u8> {
-    encode_batch_traced(epoch, batch_id, origin, None, samples)
-}
-
-/// [`encode_batch`] with an optional [`BatchTrace`] header stamped in.
-pub fn encode_batch_traced(
     epoch: u32,
     batch_id: u64,
     origin: &str,
@@ -131,21 +122,10 @@ pub fn encode_batch_traced(
 
 /// Serialize a batch as a scatter [`Frame`]: all msgpack headers in one
 /// pooled buffer, each sample payload spliced in as a refcounted [`Bytes`]
-/// segment. Wire bytes are identical to [`encode_batch`], but no payload
-/// byte is copied and the header buffer is recycled after send.
+/// segment. Wire bytes are identical to [`encode_batch`] for the same
+/// arguments, but no payload byte is copied and the header buffer is
+/// recycled after send.
 pub fn encode_batch_frame(
-    epoch: u32,
-    batch_id: u64,
-    origin: &str,
-    samples: &[(u64, u32, Bytes)],
-    pool: &BufferPool,
-) -> Frame {
-    encode_batch_frame_traced(epoch, batch_id, origin, None, samples, pool)
-}
-
-/// [`encode_batch_frame`] with an optional [`BatchTrace`] header stamped
-/// in. Wire bytes are identical to [`encode_batch_traced`].
-pub fn encode_batch_frame_traced(
     epoch: u32,
     batch_id: u64,
     origin: &str,
@@ -480,7 +460,7 @@ mod tests {
             .enumerate()
             .map(|(i, p)| (i as u64 + 10, (i % 3) as u32, p.as_slice()))
             .collect();
-        let frame = Bytes::from(encode_batch(2, 77, "daemon-0/t1", &samples));
+        let frame = Bytes::from(encode_batch(2, 77, "daemon-0/t1", None, &samples));
         let msg = decode(&frame).unwrap();
         let WireMsg::Batch(batch) = msg else {
             panic!("expected batch");
@@ -512,8 +492,8 @@ mod tests {
         let borrowed: Vec<(u64, u32, &[u8])> =
             owned.iter().map(|(i, l, p)| (*i, *l, &p[..])).collect();
 
-        let frame = encode_batch_frame(9, 123, "daemon-2/t0", &owned, &pool);
-        let eager = encode_batch(9, 123, "daemon-2/t0", &borrowed);
+        let frame = encode_batch_frame(9, 123, "daemon-2/t0", None, &owned, &pool);
+        let eager = encode_batch(9, 123, "daemon-2/t0", None, &borrowed);
         assert_eq!(&frame.clone().into_bytes()[..], &eager[..]);
 
         // Payload segments alias the callers' Bytes — no memcpy happened.
@@ -524,8 +504,11 @@ mod tests {
         }
 
         // Empty batch: pure header frame, still wire-identical.
-        let frame = encode_batch_frame(0, 0, "d", &[], &pool);
-        assert_eq!(&frame.into_bytes()[..], &encode_batch(0, 0, "d", &[])[..]);
+        let frame = encode_batch_frame(0, 0, "d", None, &[], &pool);
+        assert_eq!(
+            &frame.into_bytes()[..],
+            &encode_batch(0, 0, "d", None, &[])[..]
+        );
     }
 
     #[test]
@@ -536,7 +519,7 @@ mod tests {
             .enumerate()
             .map(|(i, p)| (i as u64, 0u32, p.as_slice()))
             .collect();
-        let frame = Bytes::from(encode_batch(1, 5, "w", &samples));
+        let frame = Bytes::from(encode_batch(1, 5, "w", None, &samples));
 
         let LazyMsg::Batch(lb) = decode_lazy(&frame, None).unwrap() else {
             panic!("expected batch");
@@ -566,7 +549,7 @@ mod tests {
     fn interner_shares_origin_across_frames() {
         let interner = StrInterner::new();
         let frames: Vec<Bytes> = (0..3)
-            .map(|i| Bytes::from(encode_batch(0, i, "daemon-0/t3", &[])))
+            .map(|i| Bytes::from(encode_batch(0, i, "daemon-0/t3", None, &[])))
             .collect();
         let origins: Vec<Arc<str>> = frames
             .iter()
@@ -603,8 +586,8 @@ mod tests {
             owned.iter().map(|(i, l, p)| (*i, *l, &p[..])).collect();
 
         // Scatter and eager traced encoders agree byte for byte.
-        let frame = encode_batch_frame_traced(3, 41, "d0/t2", Some(trace), &owned, &pool);
-        let eager = encode_batch_traced(3, 41, "d0/t2", Some(trace), &borrowed);
+        let frame = encode_batch_frame(3, 41, "d0/t2", Some(trace), &owned, &pool);
+        let eager = encode_batch(3, 41, "d0/t2", Some(trace), &borrowed);
         assert_eq!(&frame.clone().into_bytes()[..], &eager[..]);
 
         // The trace survives the lazy decode; materialization is unchanged.
@@ -616,15 +599,15 @@ mod tests {
         assert_eq!(lb.received_at_nanos(), 0);
         lb.stamp_received(7);
         assert_eq!(lb.received_at_nanos(), 7);
-        let untraced = Bytes::from(encode_batch(3, 41, "d0/t2", &borrowed));
+        let untraced = Bytes::from(encode_batch(3, 41, "d0/t2", None, &borrowed));
         let WireMsg::Batch(plain) = decode(&untraced).unwrap() else {
             panic!()
         };
         assert_eq!(lb.materialize(), plain, "trace changes no sample bytes");
 
-        // Untraced frames report no trace; `None` delegates exactly.
+        // Untraced frames report no trace, and both encoders agree.
         assert_eq!(
-            &encode_batch_frame(3, 41, "d0/t2", &owned, &pool).into_bytes()[..],
+            &encode_batch_frame(3, 41, "d0/t2", None, &owned, &pool).into_bytes()[..],
             &untraced[..]
         );
         let LazyMsg::Batch(lb) = decode_lazy(&untraced, None).unwrap() else {
@@ -671,7 +654,7 @@ mod tests {
 
     #[test]
     fn empty_batch_allowed() {
-        let frame = Bytes::from(encode_batch(0, 0, "d", &[]));
+        let frame = Bytes::from(encode_batch(0, 0, "d", None, &[]));
         let WireMsg::Batch(b) = decode(&frame).unwrap() else {
             panic!()
         };
@@ -708,7 +691,7 @@ mod tests {
 
     #[test]
     fn truncated_frames_rejected() {
-        let frame = encode_batch(1, 1, "d", &[(0, 0, &[1, 2, 3])]);
+        let frame = encode_batch(1, 1, "d", None, &[(0, 0, &[1, 2, 3])]);
         for cut in 0..frame.len() {
             assert!(
                 decode(&Bytes::from(frame[..cut].to_vec())).is_err(),

@@ -37,13 +37,13 @@ proptest! {
             .iter()
             .map(|(id, label, data)| (*id, *label, data.as_slice()))
             .collect();
-        let eager = wire::encode_batch(epoch, batch_id, &origin, &borrowed);
+        let eager = wire::encode_batch(epoch, batch_id, &origin, None, &borrowed);
 
         let owned: Vec<(u64, u32, Bytes)> = samples
             .iter()
             .map(|(id, label, data)| (*id, *label, Bytes::from(data.clone())))
             .collect();
-        let frame = wire::encode_batch_frame(epoch, batch_id, &origin, &owned, &pool);
+        let frame = wire::encode_batch_frame(epoch, batch_id, &origin, None, &owned, &pool);
         prop_assert_eq!(frame.len(), eager.len());
         prop_assert_eq!(&frame.into_bytes()[..], &eager[..]);
     }
@@ -60,7 +60,7 @@ proptest! {
             .iter()
             .map(|(id, label, data)| (*id, *label, Bytes::from(data.clone())))
             .collect();
-        let frame = wire::encode_batch_frame(epoch, batch_id, &origin, &owned, &pool).into_bytes();
+        let frame = wire::encode_batch_frame(epoch, batch_id, &origin, None, &owned, &pool).into_bytes();
 
         let eager = match wire::decode(&frame).expect("eager decode") {
             WireMsg::Batch(batch) => batch,

@@ -7,8 +7,6 @@
 //!   (discrete-event simulation, deterministic unit tests).
 //! * [`json`] — a minimal, dependency-free JSON codec used for TFRecord shard
 //!   indexes (`mapping_shard_*.json`) and experiment reports.
-//! * [`stats`] — streaming statistics (Welford mean/variance, percentiles,
-//!   EWMA) used by metrics and the benchmark harness.
 //! * [`bytesize`] — human-readable byte formatting/parsing.
 //! * [`tslog`] — the shared `TimestampLogger` from §4.5 of the paper, used to
 //!   align sender/receiver events with energy-monitor traces.
@@ -25,7 +23,6 @@ pub mod clock;
 pub mod fault;
 pub mod json;
 pub mod rate;
-pub mod stats;
 pub mod testutil;
 pub mod tslog;
 
@@ -33,7 +30,6 @@ pub use alloc::CountingAllocator;
 pub use clock::{Clock, ManualClock, RealClock, SharedClock};
 pub use fault::{FaultDecision, FaultInjector, FaultPlan, FaultSpec, RetryPolicy};
 pub use json::Json;
-pub use stats::{OnlineStats, Summary};
 pub use tslog::TimestampLogger;
 
 /// Nanoseconds per second, as a `u64`.

@@ -4,8 +4,7 @@
 //! emlio convert  --out DIR [--dataset tiny|imagenet|coco|synthetic] [--samples N] [--shards K]
 //! emlio daemon   --data DIR --connect tcp://HOST:PORT [--threads T] [--batch B] [--epochs E] [--node NAME]
 //!                [--cache-mb MB] [--cache-disk-mb MB] [--cache-policy lru|fifo|clairvoyant]
-//!                [--cache-persist DIR] [--prefetch D] [--prefetch-staging N]
-//!                [--spill-queue N] [--spill-policy block|drop] [--warm-start MB]
+//!                [--cache-persist DIR] [--prefetch D] [--warm-start MB]
 //! emlio receive  --bind tcp://ADDR:PORT --streams N [--resize W] [--quiet]
 //! emlio bench-io --data DIR [--batch B] [--threads T] [--rtt-ms MS] [--cache-mb MB] [...]
 //! emlio figures  [fig1 fig5 fig6 fig7 fig8 fig9 fig10 ablations]
@@ -22,17 +21,14 @@
 //! block cache (`emlio-cache`) so repeated epochs are served from memory;
 //! `--cache-persist DIR` keeps the disk spill tier (CRC-validated) across
 //! daemon restarts. `--cache-policy` is case-insensitive and accepts the
-//! aliases `belady`/`opt` for `clairvoyant`. `--spill-queue` sizes the
-//! background spill writer's order queue (0 = write spill files inline on
-//! the evicting thread) and `--spill-policy` picks what a full queue does
-//! (`block` the evictor or `drop` the block). `--warm-start MB` promotes
-//! that much of a persistent cache's disk tier back into RAM, earliest
-//! plan positions first, before the first batch is served;
-//! `--prefetch-staging` sets how many prefetch windows may fill ahead of
-//! the demand cursor (0 = legacy continuous window).
+//! aliases `belady`/`opt` for `clairvoyant`. `--prefetch D` sets the
+//! prefetch window in blocks (0 = off); the window after the one being
+//! served fills ahead of demand. `--warm-start MB` promotes that much of
+//! a persistent cache's disk tier back into RAM, earliest plan positions
+//! first, before the first batch is served.
 
 use emlio::cache::peer::{FleetRegistry, LocalPeer, PeerConfig, PeerSource};
-use emlio::cache::{CacheConfig, EvictPolicy as CachePolicy, SpillBackpressure};
+use emlio::cache::{CacheConfig, EvictPolicy as CachePolicy};
 use emlio::core::daemon::DaemonError;
 use emlio::core::export::{self, MetricsSampler, SampleSource};
 use emlio::core::plan::Plan;
@@ -94,8 +90,7 @@ USAGE:
   emlio convert  --out DIR [--dataset tiny|imagenet|coco|synthetic] [--samples N] [--shards K]
   emlio daemon   --data DIR --connect tcp://HOST:PORT [--threads T] [--batch B] [--epochs E] [--node NAME]
                  [--cache-mb MB] [--cache-disk-mb MB] [--cache-policy lru|fifo|clairvoyant]
-                 [--cache-persist DIR] [--prefetch D] [--prefetch-staging N]
-                 [--spill-queue N] [--spill-policy block|drop] [--warm-start MB]
+                 [--cache-persist DIR] [--prefetch D] [--warm-start MB]
   emlio receive  --bind tcp://ADDR:PORT --streams N [--resize W] [--quiet]
   emlio bench-io --data DIR [--batch B] [--threads T] [--rtt-ms MS] [--cache-mb MB]
                  [--peer-fleet N] [--peer-timeout-ms MS] [...]
@@ -268,27 +263,11 @@ fn config_from(flags: &HashMap<String, String>) -> Result<EmlioConfig, String> {
             }
             disk_mb = cache_mb;
         }
-        let spill_policy = flags
-            .get("spill-policy")
-            .map(|v| {
-                SpillBackpressure::from_name(v).ok_or_else(|| {
-                    format!("--spill-policy: bad value {v:?} (valid values: block, drop)")
-                })
-            })
-            .transpose()?
-            .unwrap_or_default();
         let mut cache = CacheConfig::default()
             .with_ram_bytes(cache_mb << 20)
             .with_disk_bytes(disk_mb << 20)
             .with_policy(policy)
             .with_prefetch_depth(get_num(flags, "prefetch", 8usize)?)
-            .with_prefetch_staging(get_num(flags, "prefetch-staging", 1usize).map_err(|e| {
-                format!("{e} (valid values: 0 = continuous window, N = stage N windows ahead)")
-            })?)
-            .with_spill_queue(get_num(flags, "spill-queue", 64usize).map_err(|e| {
-                format!("{e} (valid values: 0 = synchronous spill, N = queue N orders)")
-            })?)
-            .with_spill_backpressure(spill_policy)
             .with_warm_start_bytes(
                 get_num(flags, "warm-start", 0u64)
                     .map_err(|e| format!("{e} (valid values: RAM budget in MiB, 0 = disabled)"))?
@@ -300,17 +279,8 @@ fn config_from(flags: &HashMap<String, String>) -> Result<EmlioConfig, String> {
         config = config.with_cache(cache);
     } else if persist_dir.is_some() {
         return Err("--cache-persist requires --cache-mb to enable the cache".into());
-    } else {
-        for flag in [
-            "spill-queue",
-            "spill-policy",
-            "warm-start",
-            "prefetch-staging",
-        ] {
-            if flags.contains_key(flag) {
-                return Err(format!("--{flag} requires --cache-mb to enable the cache"));
-            }
-        }
+    } else if flags.contains_key("warm-start") {
+        return Err("--warm-start requires --cache-mb to enable the cache".into());
     }
     Ok(config)
 }

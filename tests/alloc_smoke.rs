@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use emlio::cache::{CacheConfig, CachedRangeReader, CachedSource, ShardCache};
-use emlio::core::wire::{encode_batch, encode_batch_frame, encode_batch_frame_traced};
+use emlio::core::wire::{encode_batch, encode_batch_frame};
 use emlio::core::BufferPool;
 use emlio::datagen::convert::build_tfrecord_dataset;
 use emlio::datagen::DatasetSpec;
@@ -65,7 +65,7 @@ fn serve_old(source: &dyn RangeSource, index: &GlobalIndex, key: &BlockKey) -> B
         .zip(&owned)
         .map(|(m, p)| (m.sample_id, m.label, p.as_slice()))
         .collect();
-    Bytes::from(encode_batch(7, key.start as u64, ORIGIN, &samples))
+    Bytes::from(encode_batch(7, key.start as u64, ORIGIN, None, &samples))
 }
 
 /// The zero-copy path as the daemon runs it: refcounted payload views from
@@ -83,7 +83,7 @@ fn serve_new(
         .zip(&read.payloads)
         .map(|(m, p)| (m.sample_id, m.label, p.clone()))
         .collect();
-    encode_batch_frame(7, key.start as u64, ORIGIN, &samples, pool)
+    encode_batch_frame(7, key.start as u64, ORIGIN, None, &samples, pool)
 }
 
 /// The zero-copy path with the full observability layer engaged: stage
@@ -109,7 +109,7 @@ fn serve_instrumented(
         seq,
         sent_at_nanos: clock::now_nanos(),
     };
-    let frame = encode_batch_frame_traced(7, key.start as u64, ORIGIN, Some(trace), &samples, pool);
+    let frame = encode_batch_frame(7, key.start as u64, ORIGIN, Some(trace), &samples, pool);
     recorder.record(Stage::BatchAssemble, t0.elapsed().as_nanos() as u64);
     FlightRecorder::global().record("alloc_smoke_batch", seq, 0);
     frame

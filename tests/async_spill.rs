@@ -50,8 +50,7 @@ fn send_workers_never_spill_inline() {
                 .with_disk_bytes((256 * BLOCK) as u64)
                 .with_spill_dir(dir.path().to_path_buf())
                 .with_policy(EvictPolicy::Lru)
-                .with_prefetch_depth(0)
-                .with_spill_queue(64),
+                .with_prefetch_depth(0),
         )
         .expect("cache"),
     );
@@ -98,8 +97,7 @@ fn shutdown_drains_queue_and_index_round_trips() {
         .with_disk_bytes((64 * BLOCK) as u64)
         .with_persist_dir(dir.path().to_path_buf())
         .with_policy(EvictPolicy::Lru)
-        .with_prefetch_depth(0)
-        .with_spill_queue(64);
+        .with_prefetch_depth(0);
 
     const N: usize = 12;
     {
@@ -205,8 +203,7 @@ fn failed_spill_write_keeps_block_servable() {
             .with_disk_bytes((64 * BLOCK) as u64)
             .with_spill_dir(spill_dir.clone())
             .with_policy(EvictPolicy::Lru)
-            .with_prefetch_depth(0)
-            .with_spill_queue(16),
+            .with_prefetch_depth(0),
     )
     .expect("cache");
 

@@ -132,7 +132,7 @@ fn daemon_crash_mid_stream_leaves_receiver_consistent() {
     // Crashing sender: two batches, no end marker.
     let crash = PushSocket::connect(&ep, SocketOptions::default()).unwrap();
     for id in 0..2u64 {
-        let frame = wire::encode_batch(0, id, "crashy", &[(id, 0, &[1, 2, 3])]);
+        let frame = wire::encode_batch(0, id, "crashy", None, &[(id, 0, &[1, 2, 3])]);
         crash.send(Bytes::from(frame)).unwrap();
     }
     crash.close().unwrap(); // socket closes without end_stream
@@ -140,7 +140,7 @@ fn daemon_crash_mid_stream_leaves_receiver_consistent() {
     // Healthy sender.
     let ok = PushSocket::connect(&ep, SocketOptions::default()).unwrap();
     for id in 100..103u64 {
-        let frame = wire::encode_batch(0, id, "healthy", &[(id, 1, &[4, 5])]);
+        let frame = wire::encode_batch(0, id, "healthy", None, &[(id, 1, &[4, 5])]);
         ok.send(Bytes::from(frame)).unwrap();
     }
     ok.send(Bytes::from(wire::encode_end_stream("healthy", 3)))
@@ -284,8 +284,7 @@ fn spill_write_faults_degrade_to_storage_not_corruption() {
     let config = clean_config.clone().with_cache(
         CacheConfig::default()
             .with_ram_bytes(48 << 10)
-            .with_disk_bytes(16 << 20)
-            .with_spill_queue(0),
+            .with_disk_bytes(16 << 20),
     );
     let injector =
         FaultInjector::new(FaultPlan::new(3).with_site(site::SPILL_WRITE, FaultSpec::errors(1.0)));
@@ -299,6 +298,9 @@ fn spill_write_faults_degrade_to_storage_not_corruption() {
         delivered, reference,
         "failed spills must not alter delivery"
     );
+    // Failed writes happen on the background spill writer; let it finish
+    // every queued order before reading the counter.
+    cache.flush_spills();
     assert!(
         cache.stats().snapshot().spill_failures > 0,
         "injected spill.write faults must hit the real failure branch"

@@ -9,7 +9,7 @@
 use bytes::Bytes;
 use emlio::core::export::{self, SampleSource};
 use emlio::core::service::StorageSpec;
-use emlio::core::wire::{self, encode_batch_frame_traced, encode_batch_traced};
+use emlio::core::wire::{self, encode_batch, encode_batch_frame};
 use emlio::core::{BufferPool, EmlioConfig, EmlioService};
 use emlio::datagen::convert::build_tfrecord_dataset;
 use emlio::datagen::DatasetSpec;
@@ -40,9 +40,9 @@ fn trace_header_survives_scatter_frame_byte_compatibly() {
         sent_at_nanos: 1_234_567_890,
     };
 
-    let eager = encode_batch_traced(3, 7, "obs-worker", Some(trace), &payloads_ref(&payloads));
+    let eager = encode_batch(3, 7, "obs-worker", Some(trace), &payloads_ref(&payloads));
     let scatter =
-        encode_batch_frame_traced(3, 7, "obs-worker", Some(trace), &payloads, &pool).into_bytes();
+        encode_batch_frame(3, 7, "obs-worker", Some(trace), &payloads, &pool).into_bytes();
     assert_eq!(&eager[..], &scatter[..], "traced wire bytes diverged");
 
     // The lazy decoder exposes the header verbatim and the eager decoder
@@ -61,9 +61,9 @@ fn trace_header_survives_scatter_frame_byte_compatibly() {
 
     // Untraced frames keep the original 4-field map: old decoders see no
     // schema change when tracing is off.
-    let untraced_eager = encode_batch_traced(3, 7, "obs-worker", None, &payloads_ref(&payloads));
+    let untraced_eager = encode_batch(3, 7, "obs-worker", None, &payloads_ref(&payloads));
     let untraced_scatter =
-        encode_batch_frame_traced(3, 7, "obs-worker", None, &payloads, &pool).into_bytes();
+        encode_batch_frame(3, 7, "obs-worker", None, &payloads, &pool).into_bytes();
     assert_eq!(&untraced_eager[..], &untraced_scatter[..]);
     assert!(
         untraced_eager.len() < eager.len(),
